@@ -24,7 +24,6 @@ consistency, not a cluster-wide snapshot.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import shutil
 import time
@@ -48,7 +47,7 @@ from repro.distance.base import CountingDistance, Metric
 from repro.storage.faults import FaultInjector
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
-from repro.obs.trace import QueryTrace
+from repro.obs.trace import NULL_TRACE, QueryTrace
 from repro.service.context import (
     EpochLock,
     ExhaustionReason,
@@ -57,7 +56,9 @@ from repro.service.context import (
     QueryContext,
     QueryResult,
     _Exhausted,
+    _Unlimited,
 )
+from repro.stats import credit_stat_shard
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE
 from repro.storage.serializers import Serializer, serializer_for
 from repro.storage.wal import WAL_FILE, WriteAheadLog
@@ -117,30 +118,12 @@ class ClusterResult(QueryResult):
 
     __slots__ = ("per_shard", "shards_visited", "shards_pruned")
 
-    def __init__(
-        self,
-        items: list,
-        complete: bool = True,
-        reason: Optional[ExhaustionReason] = None,
-        count: Optional[int] = None,
-        stats: Optional[Any] = None,
-        frontier: Optional[float] = None,
-        per_shard: Optional[dict] = None,
-        shards_visited: int = 0,
-        shards_pruned: int = 0,
-    ) -> None:
-        super().__init__(
-            items,
-            complete=complete,
-            reason=reason,
-            count=count,
-            stats=stats,
-            frontier=frontier,
-        )
+    def __init__(self, items: list, **kwargs: Any) -> None:
+        super().__init__(items, **kwargs)
         #: ``shard_id -> {"complete", "reason", "compdists", "page_accesses"}``
-        self.per_shard = per_shard if per_shard is not None else {}
-        self.shards_visited = shards_visited
-        self.shards_pruned = shards_pruned
+        self.per_shard: dict[int, dict] = {}
+        self.shards_visited = 0
+        self.shards_pruned = 0
 
 
 @dataclass
@@ -264,39 +247,7 @@ class ShardedIndex:
             serializer=serializer_for(objects[0]),
             checksums=checksums,
         )
-        keyed = sorted(
-            ((self.curve.encode(self.space.grid(obj)), obj) for obj in objects),
-            key=lambda pair: pair[0],
-        )
-        bounds = self._split_bounds(keyed, shards)
-        # A small throwaway build carries the sampled cost-model statistics
-        # (pair distances, exponent, ND_k corrections); the keyed shard
-        # builds inherit them so every shard prices visits the same way.
-        step = max(1, len(keyed) // 256)
-        sample = [obj for _, obj in keyed[::step]][:256]
-        donor = None
-        if len(sample) >= 2:
-            donor = SPBTree.build(
-                sample,
-                metric,
-                pivots=pivots,
-                delta=self.space.delta,
-                d_plus=d_plus,
-                curve=curve,
-                page_size=page_size,
-                cache_pages=cache_pages,
-                checksums=checksums,
-            )
-        start = 0
-        for i, lo in enumerate(bounds):
-            hi = bounds[i + 1] if i + 1 < len(bounds) else self.curve.max_value
-            end = start
-            while end < len(keyed) and keyed[end][0] < hi:
-                end += 1
-            tree = self._tree_from_items(keyed[start:end], stats_from=donor)
-            self.shards.append(Shard(self.next_shard_id, lo, hi, tree))
-            self.next_shard_id += 1
-            start = end
+        self.shards = self._cut_shards(objects, shards)
         self.router.reset(self.shards)
         self._gauge_all()
         return self
@@ -324,6 +275,45 @@ class ShardedIndex:
             bounds.append(keyed[j][0])
             start = j
         return bounds
+
+    def _cut_shards(self, objects: Sequence[Any], count: int) -> list[Shard]:
+        """Map ``objects`` once (|O| × |P|) and cut their SFC order into at
+        most ``count`` fresh shards at population quantiles."""
+        keyed = sorted(
+            ((self.curve.encode(self.space.grid(obj)), obj) for obj in objects),
+            key=lambda pair: pair[0],
+        )
+        bounds = self._split_bounds(keyed, count)
+        # A small throwaway build carries the sampled cost-model statistics
+        # (pair distances, exponent, ND_k corrections); the keyed shard
+        # builds inherit them so every shard prices visits the same way.
+        step = max(1, len(keyed) // 256)
+        sample = [obj for _, obj in keyed[::step]][:256]
+        donor = None
+        if len(sample) >= 2:
+            donor = SPBTree.build(
+                sample,
+                self.distance.metric,
+                pivots=list(self.space.pivots),
+                delta=self.space.delta,
+                d_plus=self.space.d_plus,
+                curve=self._curve_name,
+                page_size=self._page_size,
+                cache_pages=self._cache_pages,
+                checksums=self._checksums,
+            )
+        shards = []
+        start = 0
+        for i, lo in enumerate(bounds):
+            hi = bounds[i + 1] if i + 1 < len(bounds) else self.curve.max_value
+            end = start
+            while end < len(keyed) and keyed[end][0] < hi:
+                end += 1
+            tree = self._tree_from_items(keyed[start:end], stats_from=donor)
+            shards.append(Shard(self.next_shard_id, lo, hi, tree))
+            self.next_shard_id += 1
+            start = end
+        return shards
 
     def _tree_from_items(
         self,
@@ -554,17 +544,15 @@ class ShardedIndex:
 
     # ------------------------------------------------------------- queries
 
-    def _read_tree(
-        self, shard: Shard, ctx: Optional[QueryContext] = None
-    ) -> SPBTree:
+    def _read_tree(self, shard: Shard, ctx: QueryContext) -> SPBTree:
         """The tree that serves one read for ``shard``.
 
         The base cluster always reads the shard's own (primary) tree; the
         replicated cluster overrides this to fan reads across the shard's
         healthy replicas under the catalog's read-routing policy (and,
         when ``ctx`` carries a trace, records which replica served the
-        read).  Each scatter closure resolves its tree through this hook
-        at execution time, so one query's sub-reads route independently.
+        read).  Each scatter job resolves its tree through this hook at
+        execution time, so one query's sub-reads route independently.
         """
         return shard.tree
 
@@ -581,84 +569,58 @@ class ShardedIndex:
         zero distance computations.  With a ``context`` the remaining
         compdist/PA budget is split evenly across the scattered shards
         (the deadline and cancel token are shared as-is) and partial
-        sub-results merge into one honest partial.
+        sub-results merge into one honest partial.  Without one the same
+        scatter runs unlimited and the plain list comes back.
         """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        with self._lock.read():
-            if context is None:
-                phi_q = self.space.phi(query)
-                visit, pruned = self.router.range_plan(phi_q, radius)
-                self._count_scatter("range", len(visit), pruned)
-                results: list[Any] = []
-                for shard, accept_all in visit:
-                    tree = self._read_tree(shard)
-                    if accept_all:
-                        with tree._epoch_lock.read():
-                            results.extend(tree.objects())
-                    else:
-                        results.extend(
-                            tree.range_query(query, radius, phi_q=phi_q)
-                        )
-                return results
-            return self._scatter_range(query, radius, context, engine)
+        out = self._range_scatter("range", query, radius, context, engine)
+        return out if context is not None else out.items
 
-    def _scatter_range(
+    def range_count(
         self,
         query: Any,
         radius: float,
-        ctx: QueryContext,
+        context: Optional[QueryContext] = None,
+        engine: Optional[Any] = None,
+    ) -> "int | ClusterResult":
+        """|RQ(q, O, r)| across shards.  Lemma-2-accepted shards contribute
+        their live object count with zero page accesses."""
+        out = self._range_scatter("count", query, radius, context, engine)
+        return out if context is not None else out.count
+
+    def _range_scatter(
+        self,
+        kind: str,
+        query: Any,
+        radius: float,
+        context: Optional[QueryContext],
         engine: Optional[Any],
     ) -> ClusterResult:
-        t0 = time.perf_counter()
-        with ctx.activate():
-            phi_q, early = self._map_or_degrade(query, ctx, t0)
-            if early is not None:
-                return early
-            with self._plan_region(ctx):
-                visit, pruned = self.router.range_plan(
-                    phi_q, radius, trace=ctx.trace
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        counting = kind == "count"
+
+        def job(shard: Shard, accept_all: bool, phi_q: tuple) -> Callable:
+            # Each job resolves its tree when it runs (inline or on the
+            # pool), from the sub-context the job runner hands it.
+            if not accept_all:
+                method = "range_count" if counting else "range_query"
+                return lambda sub: getattr(self._read_tree(shard, sub), method)(
+                    query, radius, context=sub, phi_q=phi_q
                 )
-            self._count_scatter("range", len(visit), pruned)
-            jobs = []
-            parts = max(1, len(visit))
-            for shard, accept_all in visit:
-                sub = self._sub_context(ctx, parts)
-                fn = (
-                    self._accept_all_fn(shard)
-                    if accept_all
-                    else self._range_fn(shard, query, radius, phi_q)
+            if counting:  # Lemma 2 at shard scale: every live object counts
+                return lambda sub: QueryResult(
+                    [], count=self._read_tree(shard, sub).object_count
                 )
-                jobs.append((shard, sub, fn))
-            outs = self._run_jobs(jobs, engine)
-            merge_t0 = time.perf_counter()
-            results: list[Any] = []
-            complete, reason = True, None
-            per_shard: dict[int, dict] = {}
-            for (shard, sub, _), out in zip(jobs, outs):
-                self._absorb(ctx, shard, sub, out, "range")
-                per_shard[shard.shard_id] = self._outcome(sub, out)
-                results.extend(out.items)
-                if not out.complete and complete:
-                    complete = False
-                    reason = _name_shard(out.reason, shard.shard_id)
-            if ctx.trace is not None:
-                ctx.trace.span("merge").elapsed += (
-                    time.perf_counter() - merge_t0
-                )
-            if not complete and ctx.strict:
-                raise ctx.raise_for(reason)
-            if ctx.trace is not None:
-                ctx.trace.finish(ctx, complete, reason)
-            return ClusterResult(
-                results,
-                complete=complete,
-                reason=reason,
-                stats=ctx.stats(time.perf_counter() - t0, len(results)),
-                per_shard=per_shard,
-                shards_visited=len(visit),
-                shards_pruned=pruned,
+            return lambda sub: self._stream_all(
+                self._read_tree(shard, sub), sub, phi_q
             )
+
+        def scatter(ctx: QueryContext, phi_q: tuple, plan: tuple) -> ClusterResult:
+            visit, pruned = plan
+            jobs = [(shard, job(shard, accept, phi_q)) for shard, accept in visit]
+            return self._gather(kind, ctx, jobs, engine, pruned)
+
+        return self._query(kind, query, radius, context, scatter)
 
     def knn_query(
         self,
@@ -686,281 +648,140 @@ class ShardedIndex:
             raise ValueError("traversal must be 'incremental' or 'greedy'")
         if strategy not in ("best-first", "broadcast"):
             raise ValueError("strategy must be 'best-first' or 'broadcast'")
-        with self._lock.read():
-            if context is None:
-                return self._knn_plain(query, k, traversal, strategy, engine)
-            return self._scatter_knn(
-                query, k, traversal, context, engine, strategy
+
+        def search(shard: Shard, collector: KnnCollector, phi_q: tuple):
+            return lambda sub: self._read_tree(shard, sub).knn_into(
+                query, k, collector, sub, traversal=traversal, phi_q=phi_q
             )
 
-    def _knn_plain(
-        self,
-        query: Any,
-        k: int,
-        traversal: str,
-        strategy: str,
-        engine: Optional[Any],
-    ) -> list[tuple[float, Any]]:
-        phi_q = self.space.phi(query)
-        order = self.router.knn_order(phi_q)
-        if strategy == "best-first":
+        def scatter(ctx: QueryContext, phi_q: tuple, order: list) -> ClusterResult:
+            if strategy == "broadcast":
+                collector = KnnCollector(k, thread_safe=True)
+                jobs = [(shard, search(shard, collector, phi_q)) for _, shard in order]
+                return self._confirm(
+                    ctx, self._gather("knn", ctx, jobs, engine, 0), collector
+                )
             collector = KnnCollector(k)
-            visited = 0
+            out = ClusterResult([])
             for i, (mind, shard) in enumerate(order):
                 if len(collector) >= k and mind >= collector.bound():
-                    self._count_scatter("knn", visited, len(order) - i)
-                    return collector.items()
-                self._read_tree(shard).knn_into(
-                    query, k, collector, traversal=traversal, phi_q=phi_q
-                )
-                visited += 1
-            self._count_scatter("knn", visited, 0)
-            return collector.items()
-        collector = KnnCollector(k, thread_safe=engine is not None)
-        jobs = []
-        for _, shard in order:
-            jobs.append(
-                (shard, QueryContext(), self._knn_fn(shard, query, k, collector, traversal, phi_q))
-            )
-        self._run_jobs(jobs, engine)
-        self._count_scatter("knn", len(order), 0)
-        return collector.items()
+                    # Ascending MINDs: every later shard is pruned too,
+                    # and (bound monotonicity) constrains nothing.
+                    out.shards_pruned = len(order) - i
+                    break
+                sub = self._sub_context(ctx, 1)
+                part = search(shard, collector, phi_q)(sub)
+                self._absorb(ctx, out, shard, sub, part, "knn")
+                if not part.complete:
+                    # Unvisited shards bound unseen objects by their MIND.
+                    later = [m for m, _ in order[i + 1:]]
+                    out.frontier = min([out.frontier, *later])
+                    break
+            return self._confirm(ctx, out, collector)
 
-    def _scatter_knn(
-        self,
-        query: Any,
-        k: int,
-        traversal: str,
-        ctx: QueryContext,
-        engine: Optional[Any],
-        strategy: str,
-    ) -> ClusterResult:
-        t0 = time.perf_counter()
-        with ctx.activate():
-            phi_q, early = self._map_or_degrade(query, ctx, t0)
-            if early is not None:
-                return early
-            with self._plan_region(ctx):
-                order = self.router.knn_order(phi_q, trace=ctx.trace)
-            complete, reason = True, None
-            frontiers: list[float] = []
-            per_shard: dict[int, dict] = {}
-            visited = pruned = 0
-            if strategy == "best-first":
-                collector = KnnCollector(k)
-                i = 0
-                while i < len(order):
-                    mind, shard = order[i]
-                    if len(collector) >= k and mind >= collector.bound():
-                        # Ascending MINDs: every later shard is pruned too,
-                        # and (bound monotonicity) constrains nothing.
-                        pruned += len(order) - i
-                        break
-                    sub = self._sub_context(ctx, 1)
-                    out = self._read_tree(shard, sub).knn_into(
-                        query, k, collector, sub, traversal=traversal, phi_q=phi_q
-                    )
-                    visited += 1
-                    i += 1
-                    self._absorb(ctx, shard, sub, out, "knn")
-                    per_shard[shard.shard_id] = self._outcome(sub, out)
-                    if not out.complete:
-                        complete = False
-                        reason = _name_shard(out.reason, shard.shard_id)
-                        frontier = (
-                            out.frontier
-                            if out.frontier is not None
-                            else float("inf")
-                        )
-                        # Unvisited shards bound unseen objects by their MIND.
-                        frontiers.append(frontier)
-                        frontiers.extend(m for m, _ in order[i:])
-                        break
-            else:
-                collector = KnnCollector(k, thread_safe=True)
-                parts = max(1, len(order))
-                jobs = [
-                    (
-                        shard,
-                        self._sub_context(ctx, parts),
-                        None,
-                    )
-                    for _, shard in order
-                ]
-                jobs = [
-                    (shard, sub, self._knn_into_fn(shard, query, k, collector, traversal, phi_q))
-                    for shard, sub, _ in jobs
-                ]
-                outs = self._run_jobs(jobs, engine)
-                for (shard, sub, _), out in zip(jobs, outs):
-                    visited += 1
-                    self._absorb(ctx, shard, sub, out, "knn")
-                    per_shard[shard.shard_id] = self._outcome(sub, out)
-                    if not out.complete:
-                        complete = False
-                        if reason is None:
-                            reason = _name_shard(out.reason, shard.shard_id)
-                        frontiers.append(
-                            out.frontier
-                            if out.frontier is not None
-                            else float("inf")
-                        )
-            self._count_scatter("knn", visited, pruned)
-            merge_t0 = time.perf_counter()
-            items = collector.items()
-            cut = None
-            if not complete:
-                cut = min(frontiers) if frontiers else float("inf")
-                items = [(d, obj) for d, obj in items if d <= cut]
-            if ctx.trace is not None:
-                ctx.trace.span("merge").elapsed += (
-                    time.perf_counter() - merge_t0
-                )
-            if not complete and ctx.strict:
-                raise ctx.raise_for(reason)
-            if ctx.trace is not None:
-                ctx.trace.finish(ctx, complete, reason)
-            return ClusterResult(
-                items,
-                complete=complete,
-                reason=reason,
-                stats=ctx.stats(time.perf_counter() - t0, len(items)),
-                frontier=cut,
-                per_shard=per_shard,
-                shards_visited=visited,
-                shards_pruned=pruned,
-            )
-
-    def range_count(
-        self,
-        query: Any,
-        radius: float,
-        context: Optional[QueryContext] = None,
-        engine: Optional[Any] = None,
-    ) -> "int | ClusterResult":
-        """|RQ(q, O, r)| across shards.  Lemma-2-accepted shards contribute
-        their live object count with zero page accesses."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        with self._lock.read():
-            if context is None:
-                phi_q = self.space.phi(query)
-                visit, pruned = self.router.range_plan(phi_q, radius)
-                self._count_scatter("count", len(visit), pruned)
-                total = 0
-                for shard, accept_all in visit:
-                    tree = self._read_tree(shard)
-                    if accept_all:
-                        total += tree.object_count
-                    else:
-                        total += tree.range_count(query, radius, phi_q=phi_q)
-                return total
-            return self._scatter_count(query, radius, context, engine)
-
-    def _scatter_count(
-        self,
-        query: Any,
-        radius: float,
-        ctx: QueryContext,
-        engine: Optional[Any],
-    ) -> ClusterResult:
-        t0 = time.perf_counter()
-        with ctx.activate():
-            phi_q, early = self._map_or_degrade(query, ctx, t0, counting=True)
-            if early is not None:
-                return early
-            with self._plan_region(ctx):
-                visit, pruned = self.router.range_plan(
-                    phi_q, radius, trace=ctx.trace
-                )
-            self._count_scatter("count", len(visit), pruned)
-            jobs = []
-            parts = max(1, len(visit))
-            for shard, accept_all in visit:
-                sub = self._sub_context(ctx, parts)
-                fn = (
-                    self._count_all_fn(shard)
-                    if accept_all
-                    else self._count_fn(shard, query, radius, phi_q)
-                )
-                jobs.append((shard, sub, fn))
-            outs = self._run_jobs(jobs, engine)
-            merge_t0 = time.perf_counter()
-            total = 0
-            complete, reason = True, None
-            per_shard: dict[int, dict] = {}
-            for (shard, sub, _), out in zip(jobs, outs):
-                self._absorb(ctx, shard, sub, out, "count")
-                per_shard[shard.shard_id] = self._outcome(sub, out)
-                total += out.count
-                if not out.complete and complete:
-                    complete = False
-                    reason = _name_shard(out.reason, shard.shard_id)
-            if ctx.trace is not None:
-                ctx.trace.span("merge").elapsed += (
-                    time.perf_counter() - merge_t0
-                )
-            if not complete and ctx.strict:
-                raise ctx.raise_for(reason)
-            if ctx.trace is not None:
-                ctx.trace.finish(ctx, complete, reason)
-            return ClusterResult(
-                [],
-                complete=complete,
-                reason=reason,
-                count=total,
-                stats=ctx.stats(time.perf_counter() - t0, 0),
-                per_shard=per_shard,
-                shards_visited=len(visit),
-                shards_pruned=pruned,
-            )
+        out = self._query("knn", query, None, context, scatter)
+        return out if context is not None else out.items
 
     # ----------------------------------------------------- scatter plumbing
 
-    def _map_or_degrade(
+    def _query(
         self,
+        kind: str,
         query: Any,
-        ctx: QueryContext,
-        t0: float,
-        counting: bool = False,
-    ) -> tuple[Optional[tuple[float, ...]], Optional[ClusterResult]]:
-        """Map the query (once, on the cluster's counter, under the parent
-        trace's ``map`` span).  Returns ``(phi_q, None)``, or
-        ``(None, degraded empty result)`` if the budget cannot even cover
-        the mapping."""
-        tr = ctx.trace
-        try:
-            ctx.checkpoint()
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)
-            else:
-                phi_q = self.space.phi(query)
-            ctx.checkpoint()
-        except _Exhausted as exc:
-            if ctx.strict:
-                raise ctx.raise_for(exc.reason) from None
-            if tr is not None:
-                tr.finish(ctx, False, exc.reason)
-            return None, ClusterResult(
-                [],
-                complete=False,
-                reason=exc.reason,
-                count=0 if counting else None,
-                stats=ctx.stats(time.perf_counter() - t0, 0),
-            )
-        return phi_q, None
+        radius: Optional[float],
+        context: Optional[QueryContext],
+        scatter: Callable[[QueryContext, tuple, Any], ClusterResult],
+    ) -> ClusterResult:
+        """The protocol every cluster query shares around its scatter.
 
-    def _plan_region(self, ctx: QueryContext):
-        """Accounting region for the routing plan.  The router reads each
-        shard's root page lazily to learn its MBB, so the first plan after
-        a cold open costs real page accesses — they must land on the
-        ``plan`` span or the trace would not reconcile with the context
-        totals."""
-        tr = ctx.trace
-        if tr is None:
-            return contextlib.nullcontext()
-        return tr.region(tr.span("plan"), ctx)
+        Takes the cluster's read side, activates the context, maps the
+        query once (on the cluster's counter, under the ``map`` span),
+        plans the shards to visit (under the ``plan`` span: the Router's
+        kNN order, or its range plan for ``radius``), runs
+        ``scatter(ctx, phi_q, plan)``, raises the strict-mode
+        exception for a degraded answer, and finishes the trace and stats.
+        A query whose budget cannot even cover the mapping degrades to an
+        empty partial.  Without a ``context`` the scatter runs on a
+        private unlimited one whose costs are folded into the stat shard
+        that was active before the call.
+        """
+        ctx = context or _Unlimited()
+        tr = ctx.trace or NULL_TRACE
+        try:
+            with self._lock.read(), ctx.activate():
+                t0 = time.perf_counter()
+                try:
+                    ctx.checkpoint()
+                    with tr.region(tr.span("map"), ctx):
+                        phi_q = self.space.phi(query)
+                    ctx.checkpoint()
+                except _Exhausted as exc:
+                    out = ClusterResult([], complete=False, reason=exc.reason)
+                else:
+                    # The router reads each shard's root page lazily to
+                    # learn its MBB, so a plan after a cold open costs
+                    # page accesses: they belong to the ``plan`` span.
+                    with tr.region(tr.span("plan"), ctx):
+                        if radius is None:
+                            plan = self.router.knn_order(phi_q, trace=ctx.trace)
+                        else:
+                            plan = self.router.range_plan(
+                                phi_q, radius, trace=ctx.trace
+                            )
+                    out = scatter(ctx, phi_q, plan)
+                    self._count_scatter(kind, out.shards_visited, out.shards_pruned)
+                if not out.complete and ctx.strict:
+                    raise ctx.raise_for(out.reason) from None
+                tr.finish(ctx, out.complete, out.reason)
+                size = 0 if kind == "count" else len(out.items)
+                out.stats = ctx.stats(time.perf_counter() - t0, size)
+        finally:
+            if ctx is not context:  # private: credit the enclosing shard
+                credit_stat_shard(ctx)
+        return out
+
+    def _gather(
+        self,
+        kind: str,
+        ctx: QueryContext,
+        jobs: list[tuple[Shard, Callable]],
+        engine: Optional[Any],
+        pruned: int,
+    ) -> ClusterResult:
+        """Run every ``(shard, fn)`` job on an even slice of the remaining
+        budget, then merge: items concatenate and counts add."""
+        parts = max(1, len(jobs))
+        subs = [self._sub_context(ctx, parts) for _ in jobs]
+        outs = self._run_jobs(
+            [(shard, sub, fn) for (shard, fn), sub in zip(jobs, subs)], engine
+        )
+        merge_t0 = time.perf_counter()
+        out = ClusterResult([])
+        out.shards_pruned = pruned
+        for (shard, _), sub, part in zip(jobs, subs, outs):
+            self._absorb(ctx, out, shard, sub, part, kind)
+            out.items.extend(part.items)
+            out.count += part.count
+        self._charge_merge(ctx, merge_t0)
+        return out
+
+    def _confirm(
+        self, ctx: QueryContext, out: ClusterResult, collector: KnnCollector
+    ) -> ClusterResult:
+        """Fill a kNN result from the shared collector, cut to the
+        confirmed prefix (``d <= frontier``) when some shard degraded."""
+        t0 = time.perf_counter()
+        items = collector.items()
+        if not out.complete:
+            items = [(d, obj) for d, obj in items if d <= out.frontier]
+        out.items, out.count = items, len(items)
+        self._charge_merge(ctx, t0)
+        return out
+
+    @staticmethod
+    def _charge_merge(ctx: QueryContext, t0: float) -> None:
+        if ctx.trace is not None:
+            ctx.trace.span("merge").elapsed += time.perf_counter() - t0
 
     def _sub_context(self, ctx: QueryContext, parts: int) -> QueryContext:
         """A per-shard slice of the remaining budget.  The deadline and
@@ -1009,22 +830,41 @@ class ShardedIndex:
     def _absorb(
         self,
         ctx: QueryContext,
+        out: ClusterResult,
         shard: Shard,
         sub: QueryContext,
-        out: QueryResult,
+        part: QueryResult,
         kind: str,
     ) -> None:
-        """Fold a finished sub-context into the parent: counters add up
-        exactly, and the shard's work appears as one ``shard-<id>`` span
-        under the parent trace root (carrying the sub-trace's children)."""
+        """Fold one finished shard read into the parent context and the
+        merged result: counters add up exactly, the shard's work appears
+        as one ``shard-<id>`` span under the parent trace root (carrying
+        the sub-trace's children), and the first degraded shard names the
+        result's reason.  A degraded kNN read lowers the result's
+        ``frontier`` to its own."""
         ctx.compdists += sub.compdists
         ctx.page_accesses += sub.page_accesses
+        out.shards_visited += 1
+        out.per_shard[shard.shard_id] = {
+            "complete": part.complete,
+            "reason": str(part.reason) if part.reason is not None else None,
+            "compdists": sub.compdists,
+            "page_accesses": sub.page_accesses,
+        }
+        if not part.complete:
+            if out.complete:
+                out.complete = False
+                out.reason = _name_shard(part.reason, shard.shard_id)
+            if kind == "knn":
+                out.frontier = min(
+                    part.frontier,
+                    float("inf") if out.frontier is None else out.frontier,
+                )
         if ctx.trace is not None:
             span = ctx.trace.span(f"shard-{shard.shard_id}")
             span.compdists += sub.compdists
             span.page_accesses += sub.page_accesses
-            if out.stats is not None:
-                span.elapsed += out.stats.elapsed_seconds
+            span.elapsed += part.stats.elapsed_seconds
             span.bump("visits")
             if sub.trace is not None:
                 span.children.extend(sub.trace.root.children)
@@ -1041,83 +881,18 @@ class ShardedIndex:
             ).inc()
 
     @staticmethod
-    def _outcome(sub: QueryContext, out: QueryResult) -> dict:
-        return {
-            "complete": out.complete,
-            "reason": str(out.reason) if out.reason is not None else None,
-            "compdists": sub.compdists,
-            "page_accesses": sub.page_accesses,
-        }
-
-    # Per-shard sub-query closures.  Each receives the sub-context the job
-    # runner hands it, so the same closure works inline and on the pool.
-
-    def _range_fn(self, shard, query, radius, phi_q):
-        def fn(sub: QueryContext) -> QueryResult:
-            return self._read_tree(shard, sub).range_query(
-                query, radius, context=sub, phi_q=phi_q
-            )
-
-        return fn
-
-    def _count_fn(self, shard, query, radius, phi_q):
-        def fn(sub: QueryContext) -> QueryResult:
-            return self._read_tree(shard, sub).range_count(
-                query, radius, context=sub, phi_q=phi_q
-            )
-
-        return fn
-
-    def _knn_into_fn(self, shard, query, k, collector, traversal, phi_q):
-        def fn(sub: QueryContext) -> QueryResult:
-            return self._read_tree(shard, sub).knn_into(
-                query, k, collector, sub, traversal=traversal, phi_q=phi_q
-            )
-
-        return fn
-
-    def _knn_fn(self, shard, query, k, collector, traversal, phi_q):
-        def fn(sub: QueryContext) -> bool:
-            self._read_tree(shard, sub).knn_into(
-                query, k, collector, traversal=traversal, phi_q=phi_q
-            )
-            return True
-
-        return fn
-
-    def _accept_all_fn(self, shard):
+    def _stream_all(tree: SPBTree, sub: QueryContext, phi_q: tuple) -> QueryResult:
         """Lemma 2 at shard scale: stream the whole RAF, zero compdists."""
+        items: list[Any] = []
 
-        def fn(sub: QueryContext) -> QueryResult:
-            t0 = time.perf_counter()
-            tree = self._read_tree(shard, sub)
-            items: list[Any] = []
-            complete, reason = True, None
-            with sub.activate():
-                try:
-                    with tree._epoch_lock.read() as epoch:
-                        sub.epoch = epoch
-                        for obj in tree.objects():
-                            sub.checkpoint()
-                            items.append(obj)
-                except _Exhausted as exc:
-                    complete, reason = False, exc.reason
-            return QueryResult(
-                items,
-                complete=complete,
-                reason=reason,
-                stats=sub.stats(time.perf_counter() - t0, len(items)),
-            )
+        def stream(ctx: QueryContext, tr: Any, phi_q: tuple) -> None:
+            for obj in tree.objects():
+                ctx.checkpoint()
+                items.append(obj)
 
-        return fn
-
-    def _count_all_fn(self, shard):
-        def fn(sub: QueryContext) -> QueryResult:
-            with sub.activate():
-                n = self._read_tree(shard, sub).object_count
-            return QueryResult([], count=n, stats=sub.stats(0.0, 0))
-
-        return fn
+        out = tree._run(sub, None, phi_q, stream)
+        out.items, out.count = items, len(items)
+        return out
 
     def _count_scatter(self, kind: str, visited: int, pruned: int) -> None:
         if _obsreg.ENABLED:
@@ -1370,43 +1145,9 @@ class ShardedIndex:
             self.curve = _CURVES[self._curve_name](
                 self.space.num_pivots, self.space.bits
             )
-            keyed = sorted(
-                ((self.curve.encode(self.space.grid(o)), o) for o in objects),
-                key=lambda pair: pair[0],
-            )
-            bounds = self._split_bounds(keyed, max(1, len(old_shards)))
-            # Fresh donor build: ND_k corrections and the grid sample are
-            # pivot-dependent, so the old shards' statistics do not carry.
-            step = max(1, len(keyed) // 256)
-            sample = [obj for _, obj in keyed[::step]][:256]
-            donor = None
-            if len(sample) >= 2:
-                donor = SPBTree.build(
-                    sample,
-                    self.distance.metric,
-                    pivots=list(pivots),
-                    delta=self.space.delta,
-                    d_plus=self.space.d_plus,
-                    curve=self._curve_name,
-                    page_size=self._page_size,
-                    cache_pages=self._cache_pages,
-                    checksums=self._checksums,
-                )
-            new_shards: list[Shard] = []
-            start = 0
-            for i, lo in enumerate(bounds):
-                hi = (
-                    bounds[i + 1]
-                    if i + 1 < len(bounds)
-                    else self.curve.max_value
-                )
-                end = start
-                while end < len(keyed) and keyed[end][0] < hi:
-                    end += 1
-                tree = self._tree_from_items(keyed[start:end], stats_from=donor)
-                new_shards.append(Shard(self.next_shard_id, lo, hi, tree))
-                self.next_shard_id += 1
-                start = end
+            # Fresh donor build inside: ND_k corrections and the grid sample
+            # are pivot-dependent, so the old shards' statistics do not carry.
+            new_shards = self._cut_shards(objects, max(1, len(old_shards)))
             # The router prunes against the *new* pivot space; rebuild it
             # before the swap installs the new shard list.
             self.router = Router(self.space, self.curve)

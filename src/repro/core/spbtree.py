@@ -8,21 +8,29 @@ An SPB-tree has three parts (Fig. 4 of the paper):
   non-leaf entries carry subtree MBBs encoded as SFC corner keys;
 * an **RAF** storing the actual objects in ascending SFC order.
 
-Query processing implements the paper's algorithms verbatim:
+Query processing implements the paper's algorithms verbatim, one
+traversal per algorithm:
 
-* :meth:`SPBTree.range_query` — Algorithm 1 (RQA) with Lemma 1 (mapped
-  range region pruning), Lemma 2 (distance-free inclusion), and the
-  ``computeSFC`` fast path that enumerates the SFC values of
-  ``RR(q,r) ∩ MBB(N)`` when that region holds fewer cells than the leaf
-  has entries;
-* :meth:`SPBTree.knn_query` — Algorithm 2 (NNA), best-first over MIND
-  lower bounds (Lemma 3), optimal in distance computations (Lemma 4),
-  with both the *incremental* and the *greedy* traversal paradigms of
-  §4.3.
+* :meth:`SPBTree.range_query` and :meth:`SPBTree.range_count` — Algorithm 1
+  (RQA) with Lemma 1 (mapped range region pruning), Lemma 2
+  (distance-free inclusion), and the ``computeSFC`` fast path that
+  enumerates the SFC values of ``RR(q,r) ∩ MBB(N)`` when that region holds
+  fewer cells than the leaf has entries.  The count is the same traversal
+  with a counting sink, which takes Lemma 2 accepts without reading the
+  RAF;
+* :meth:`SPBTree.knn_query` / :meth:`SPBTree.knn_into` — Algorithm 2
+  (NNA), best-first over MIND lower bounds (Lemma 3), optimal in distance
+  computations (Lemma 4), with both the *incremental* and the *greedy*
+  traversal paradigms of §4.3.
+
+Every query runs through :meth:`SPBTree._run`; a call without a
+:class:`QueryContext` runs on a private unlimited one and returns the
+unwrapped answer.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import os
@@ -33,6 +41,7 @@ from repro.btree.node import LeafEntry, Node
 from repro.btree.tree import BPlusTree
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
+from repro.obs.trace import NULL_TRACE
 from repro.core.mapping import PivotSpace
 from repro.core.pivots import select_pivots
 from repro.distance.base import CountingDistance, Metric
@@ -52,8 +61,10 @@ from repro.service.context import (
     QueryContext,
     QueryResult,
     _Exhausted,
+    _Unlimited,
 )
 from repro.sfc.zorder import ZCurve
+from repro.stats import credit_stat_shard
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE
 from repro.storage.raf import RandomAccessFile
 from repro.storage.serializers import Serializer, serializer_for
@@ -70,6 +81,18 @@ _CURVES: dict[str, type[SpaceFillingCurve]] = {
 
 #: Reservoir size for the cost-model sample of mapped vectors (eq. 2).
 _SAMPLE_CAPACITY = 2000
+
+
+class _RangeSink:
+    """Where RQA puts what it accepts: the objects and their number (a
+    range query, ``fetch=True``) or only their number (a count, whose
+    Lemma 2 accepts never read the RAF)."""
+
+    __slots__ = ("hits", "count")
+
+    def __init__(self, fetch: bool) -> None:
+        self.hits: Optional[list[Any]] = [] if fetch else None
+        self.count = 0
 
 
 class SPBTree:
@@ -216,19 +239,11 @@ class SPBTree:
             tree.distance_exponent = stats_from.distance_exponent
             tree.precision_hint = stats_from.precision_hint
             tree.ndk_corrections = dict(stats_from.ndk_corrections)
-        if not items:
-            return tree
-        ordered = sorted(items, key=lambda pair: pair[0])
-        raf = tree._ensure_raf(ordered[0][1])
-        entries = []
-        for key, obj in ordered:
-            offset = raf.append(tree._next_id, obj, flush=False)
-            tree._next_id += 1
-            entries.append((key, offset))
-            tree._observe(tuple(tree.curve.decode(key)))
-        raf.finalize()
-        tree.btree.bulk_load(entries)
-        tree.object_count = len(ordered)
+        if items:
+            ordered = sorted(items, key=lambda pair: pair[0])
+            for key, _ in ordered:
+                tree._observe(tuple(tree.curve.decode(key)))
+            tree._load_sorted(ordered)
         return tree
 
     def _ensure_raf(self, example: Any) -> RandomAccessFile:
@@ -243,7 +258,6 @@ class SPBTree:
         return self.raf
 
     def _bulk_load(self, objects: Sequence[Any]) -> None:
-        raf = self._ensure_raf(objects[0])
         keyed = []
         phis = []
         for obj in objects:
@@ -254,14 +268,19 @@ class SPBTree:
             self._observe(grid)
         self._calibrate(objects, phis)
         keyed.sort(key=lambda pair: pair[0])
+        self._load_sorted(keyed)
+
+    def _load_sorted(self, keyed: Sequence[tuple[int, Any]]) -> None:
+        """Append key-sorted ``(SFC key, object)`` pairs to a fresh RAF and
+        bulk-load the B+-tree over them."""
+        raf = self._ensure_raf(keyed[0][1])
         items = []
         for key, obj in keyed:
-            offset = raf.append(self._next_id, obj, flush=False)
+            items.append((key, raf.append(self._next_id, obj, flush=False)))
             self._next_id += 1
-            items.append((key, offset))
         raf.finalize()
         self.btree.bulk_load(items)
-        self.object_count = len(objects)
+        self.object_count = len(keyed)
 
     def _calibrate(self, objects: Sequence[Any], phis: list, pairs: int = 1500) -> None:
         """Sample the dataset's pairwise distance distribution F(r).
@@ -558,6 +577,54 @@ class SPBTree:
         except ValueError:
             pass
 
+    # -------------------------------------------------------------- queries
+
+    def _run(
+        self,
+        context: Optional[QueryContext],
+        query: Any,
+        phi_q: Optional[tuple[float, ...]],
+        search: Callable[[QueryContext, Any, tuple[float, ...]], None],
+    ) -> QueryResult:
+        """Run one traversal under the protocol every query method shares.
+
+        Activates the context, pins an epoch under the read lock, skips an
+        empty tree, maps the query to φ(q) on the ``map`` span (unless the
+        caller passed ``phi_q``), calls ``search(ctx, trace, phi_q)`` — the
+        trace is :data:`NULL_TRACE` when none is attached — turns
+        exhaustion into a partial result (or, in strict mode, the
+        exception), finishes the trace, and returns a :class:`QueryResult`
+        holding completeness and stats; the caller fills in the answer
+        from its sink.  Without a ``context`` the search runs on a private
+        unlimited one whose costs are folded into the stat shard that was
+        active before the call, so an enclosing context is credited
+        exactly as if no context had been pushed.
+        """
+        ctx = context or _Unlimited()
+        tr = ctx.trace or NULL_TRACE
+        t0 = time.perf_counter()
+        complete, reason = True, None
+        try:
+            with ctx.activate():
+                try:
+                    with self._epoch_lock.read() as epoch:
+                        ctx.epoch = epoch
+                        if self.raf is not None and self.object_count:
+                            if phi_q is None:
+                                with tr.region(tr.span("map"), ctx):
+                                    phi_q = self.space.phi(query)  # |P| compdists
+                            search(ctx, tr, phi_q)
+                except _Exhausted as exc:
+                    if ctx.strict:
+                        raise ctx.raise_for(exc.reason) from None
+                    complete, reason = False, exc.reason
+                tr.finish(ctx, complete, reason)
+        finally:
+            if ctx is not context:  # private: credit the enclosing shard
+                credit_stat_shard(ctx)
+        elapsed = time.perf_counter() - t0
+        return QueryResult([], complete, reason, stats=ctx.stats(elapsed))
+
     # ---------------------------------------------------------- range query
 
     def range_query(
@@ -570,119 +637,92 @@ class SPBTree:
         """RQ(q, O, r): all objects within ``radius`` of ``query``.
 
         Algorithm 1 (RQA) of the paper.  Without a ``context`` this returns
-        a plain list, exactly as before.  With a :class:`QueryContext` the
-        traversal observes its deadline/budget/cancellation at every node
-        and entry, and the answer comes back as a :class:`QueryResult`: on
-        exhaustion the hits verified so far, flagged ``complete=False``
-        (or, in strict mode, :class:`~repro.service.BudgetExceeded`).
-        ``phi_q`` passes a precomputed pivot mapping of the query so a
-        cluster scatter pays the |P| mapping distances once, not per shard.
+        a plain list.  With a :class:`QueryContext` the traversal observes
+        its deadline/budget/cancellation at every node and entry, and the
+        answer comes back as a :class:`QueryResult`: on exhaustion the hits
+        verified so far, flagged ``complete=False`` (or, in strict mode,
+        :class:`~repro.service.BudgetExceeded`).  ``phi_q`` passes a
+        precomputed pivot mapping of the query so a cluster scatter pays
+        the |P| mapping distances once, not per shard.
         """
+        out = self._range(query, radius, context, phi_q, fetch=True)
+        return out if context is not None else out.items
+
+    def range_count(
+        self,
+        query: Any,
+        radius: float,
+        context: Optional[QueryContext] = None,
+        phi_q: Optional[tuple[float, ...]] = None,
+    ) -> "int | QueryResult":
+        """|RQ(q, O, r)| without fetching the objects.
+
+        Algorithm 1 (RQA) with a counting sink: entries whose grid cell
+        proves d(q, o) ≤ r by Lemma 2 are *counted* without touching the
+        RAF at all, so a pure counting workload (selectivity estimation,
+        faceting) costs a fraction of the page accesses of
+        :meth:`range_query`.
+
+        With a :class:`QueryContext` the answer is a :class:`QueryResult`
+        whose ``count`` holds the tally (a lower bound of the true count
+        when ``complete=False``).
+        """
+        out = self._range(query, radius, context, phi_q, fetch=False)
+        return out if context is not None else out.count
+
+    def _range(
+        self,
+        query: Any,
+        radius: float,
+        context: Optional[QueryContext],
+        phi_q: Optional[tuple[float, ...]],
+        fetch: bool,
+    ) -> QueryResult:
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        if context is None:
-            results: list[Any] = []
-            with self._epoch_lock.read():
-                if self.raf is None or self.object_count == 0:
-                    return results
-                self._range_search(query, radius, results, None, phi_q)
-            return results
-        with context.activate():
-            t0 = time.perf_counter()
-            results = []
-            complete, reason = True, None
-            try:
-                with self._epoch_lock.read() as epoch:
-                    context.epoch = epoch
-                    if self.raf is not None and self.object_count:
-                        self._range_search(query, radius, results, context, phi_q)
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                complete, reason = False, exc.reason
-            if context.trace is not None:
-                context.trace.finish(context, complete, reason)
-            return QueryResult(
-                results,
-                complete=complete,
-                reason=reason,
-                stats=context.stats(time.perf_counter() - t0, len(results)),
-            )
+        sink = _RangeSink(fetch)
+        search = functools.partial(self._range_search, query, radius, sink)
+        out = self._run(context, query, phi_q, search)
+        out.count = out.stats.result_size = sink.count
+        if sink.hits is not None:
+            out.items = sink.hits
+        return out
 
     def _range_search(
         self,
         query: Any,
         radius: float,
-        results: list[Any],
-        ctx: Optional[QueryContext],
-        phi_q: Optional[tuple[float, ...]] = None,
-    ) -> None:
-        tr = ctx.trace if ctx is not None else None
-        if phi_q is None:
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)  # |P| compdists
-            else:
-                phi_q = self.space.phi(query)
-        if ctx is not None:
-            ctx.checkpoint()
-        rr = self.space.range_region(phi_q, radius)
-        # Depth-first over (page, parent MBB, level); the root carries no
-        # parent entry, so its box is None and leaf roots self-derive one.
-        stack: list[tuple[int, Optional[tuple], int]] = [
-            (self.btree.root_page, None, 0)
-        ]
-        while stack:
-            if ctx is not None:
-                ctx.checkpoint()
-            page_id, box, depth = stack.pop()
-            if tr is not None:
-                with tr.region(tr.level(depth), ctx):
-                    self._range_visit(
-                        page_id, box, depth, query, radius, phi_q, rr,
-                        results, stack, ctx, tr,
-                    )
-            else:
-                self._range_visit(
-                    page_id, box, depth, query, radius, phi_q, rr,
-                    results, stack, ctx, None,
-                )
-
-    def _range_visit(
-        self,
-        page_id: int,
-        box: Optional[tuple],
-        depth: int,
-        query: Any,
-        radius: float,
+        sink: "_RangeSink",
+        ctx: QueryContext,
+        tr: Any,
         phi_q: tuple[float, ...],
-        rr: tuple,
-        results: list[Any],
-        stack: list,
-        ctx: Optional[QueryContext],
-        tr: Optional[Any],
     ) -> None:
-        """Process one node of Algorithm 1's descent (all costs belong to
-        the caller-entered span of this node's level)."""
-        rr_lo, rr_hi = rr
-        node = self.btree.read_node(page_id)
-        if tr is not None:
-            tr.bump("nodes_visited")
-        if node.is_leaf:
-            if box is None:  # leaf root: derive the MBB a parent would hold
-                box = self.btree.node_box(node)
-                if box is None or not boxes_intersect(rr_lo, rr_hi, *box):
-                    return
-            self._range_leaf(
-                node, box, query, radius, phi_q, rr, results, ctx, tr
-            )
-            return
-        for entry in node.entries:
-            child_box = self.btree.decode_box(entry)
-            if boxes_intersect(rr_lo, rr_hi, *child_box):  # Lemma 1
-                stack.append((entry.child, child_box, depth + 1))
-            elif tr is not None:
-                tr.bump("children_pruned_lemma1")
+        """Algorithm 1's descent: depth-first over (page, parent MBB,
+        level), Lemma 1 pruning children whose MBB misses RR(q, r).  The
+        root carries no parent entry, so its box is None and a leaf root
+        derives one."""
+        rr_lo, rr_hi = rr = self.space.range_region(phi_q, radius)
+        stack: list[tuple] = [(self.btree.root_page, None, 0)]
+        while stack:
+            ctx.checkpoint()
+            page_id, box, depth = stack.pop()
+            # All costs of a node belong to the span of its level.
+            with tr.region(tr.level(depth), ctx):
+                node = self.btree.read_node(page_id)
+                tr.bump("nodes_visited")
+                if not node.is_leaf:
+                    for entry in node.entries:
+                        child_box = self.btree.decode_box(entry)
+                        if boxes_intersect(rr_lo, rr_hi, *child_box):  # Lemma 1
+                            stack.append((entry.child, child_box, depth + 1))
+                        else:
+                            tr.bump("children_pruned_lemma1")
+                    continue
+                if box is None:  # leaf root: derive the MBB a parent would hold
+                    box = self.btree.node_box(node)
+                    if box is None or not boxes_intersect(rr_lo, rr_hi, *box):
+                        continue
+                self._range_leaf(node, box, query, radius, phi_q, rr, sink, ctx, tr)
 
     def _range_leaf(
         self,
@@ -692,46 +732,29 @@ class SPBTree:
         radius: float,
         phi_q: tuple[float, ...],
         rr: tuple,
-        results: list[Any],
-        ctx: Optional[QueryContext] = None,
-        tr: Optional[Any] = None,
+        sink: "_RangeSink",
+        ctx: QueryContext,
+        tr: Any,
     ) -> None:
         """Leaf handling of Algorithm 1, lines 11–23."""
         rr_lo, rr_hi = rr
+        entries, check_rr = node.entries, True
         if box_contains(rr_lo, rr_hi, *box):
-            # MBB(N) ⊆ RR: every entry is inside the range region.
-            for entry in node.entries:
-                self._verify_range(
-                    entry, query, radius, phi_q, rr, False, results, ctx, tr
-                )
-            return
-        inter = box_intersection(rr_lo, rr_hi, *box)
-        if inter is None:
-            return
-        if self.use_sfc_enumeration and box_cell_count(*inter) < node.count:
-            # computeSFC fast path: enumerate the (few) SFC values in the
-            # intersected region and merge against the sorted leaf keys.
-            if tr is not None:
+            check_rr = False  # MBB(N) ⊆ RR: every entry is inside RR
+        else:
+            inter = box_intersection(rr_lo, rr_hi, *box)
+            if inter is None:
+                return
+            if self.use_sfc_enumeration and box_cell_count(*inter) < node.count:
+                # computeSFC fast path: enumerate the (few) SFC values in
+                # RR ∩ MBB(N) and keep only the entries carrying one.
                 tr.bump("sfc_fast_path")
-            values = sfc_values_in_box(self.curve, *inter)
-            vi, ei = 0, 0
-            entries = node.entries
-            while vi < len(values) and ei < len(entries):
-                key = entries[ei].key
-                if key == values[vi]:
-                    self._verify_range(
-                        entries[ei], query, radius, phi_q, rr, False, results,
-                        ctx, tr,
-                    )
-                    ei += 1
-                elif key > values[vi]:
-                    vi += 1
-                else:
-                    ei += 1
-            return
-        for entry in node.entries:
+                values = set(sfc_values_in_box(self.curve, *inter))
+                entries = [entry for entry in entries if entry.key in values]
+                check_rr = False
+        for entry in entries:
             self._verify_range(
-                entry, query, radius, phi_q, rr, True, results, ctx, tr
+                entry, query, radius, phi_q, rr, check_rr, sink, ctx, tr
             )
 
     def _verify_range(
@@ -742,35 +765,36 @@ class SPBTree:
         phi_q: tuple[float, ...],
         rr: tuple,
         check_rr: bool,
-        results: list[Any],
-        ctx: Optional[QueryContext] = None,
-        tr: Optional[Any] = None,
+        sink: "_RangeSink",
+        ctx: QueryContext,
+        tr: Any,
     ) -> None:
         """VerifyRQ of Algorithm 1 (lines 25–29)."""
         assert self.raf is not None
-        if ctx is not None:
-            ctx.checkpoint()
+        ctx.checkpoint()
         cell = self.curve.decode(entry.key)
         if check_rr and not point_in_box(cell, *rr):  # Lemma 1
-            if tr is not None:
-                tr.bump("entries_pruned_lemma1")
+            tr.bump("entries_pruned_lemma1")
             return
         if self.raf.is_deleted(entry.ptr):
             return
         # Lemma 2: if some pivot places o within r - d(q, pᵢ) of pᵢ, the
-        # object is certainly a result; fetch it without computing d(q, o).
+        # object is certainly a result: accept it without computing d(q, o)
+        # (and, for a count, without reading it).
         if self.use_lemma2:
             for coord, dq in zip(cell, phi_q):
                 if self.space.upper_bound_to_pivot(coord) <= radius - dq:
-                    if tr is not None:
-                        tr.bump("lemma2_accepts")
-                    results.append(self.raf.read_object(entry.ptr))
+                    tr.bump("lemma2_accepts")
+                    sink.count += 1
+                    if sink.hits is not None:
+                        sink.hits.append(self.raf.read_object(entry.ptr))
                     return
-        if tr is not None:
-            tr.bump("entries_verified")
+        tr.bump("entries_verified")
         obj = self.raf.read_object(entry.ptr)
         if self.distance(query, obj) <= radius:
-            results.append(obj)
+            sink.count += 1
+            if sink.hits is not None:
+                sink.hits.append(obj)
 
     # ------------------------------------------------------------ kNN query
 
@@ -791,26 +815,15 @@ class SPBTree:
         an entire leaf as soon as it is reached (optimal in RAF page
         accesses — the default choice for low-precision data like DNA).
 
-        Without a ``context`` this returns a plain list, exactly as before.
-        With a :class:`QueryContext`, exhaustion degrades gracefully: the
+        Without a ``context`` this returns a plain list.  With a
+        :class:`QueryContext`, exhaustion degrades gracefully: the
         returned :class:`QueryResult` (``complete=False``) holds only the
         *confirmed* best-so-far neighbours — those whose distance does not
         exceed the smallest lower bound still on the heap, so by Lemma 3
         their distances are a prefix of the true kNN distances.  Strict
         mode raises :class:`~repro.service.BudgetExceeded` instead.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if traversal not in ("incremental", "greedy"):
-            raise ValueError("traversal must be 'incremental' or 'greedy'")
         collector = KnnCollector(k)
-        if context is None:
-            with self._epoch_lock.read():
-                if self.raf is None or self.object_count == 0:
-                    return []
-                heap: list[tuple[float, int, int, object, int]] = []
-                self._knn_search(query, k, traversal, collector, heap, None, phi_q)
-            return collector.items()
         out = self.knn_into(
             query, k, collector, context, traversal=traversal, phi_q=phi_q
         )
@@ -820,12 +833,10 @@ class SPBTree:
             # at distance >= the smallest remaining lower bound, and
             # everything evicted from the result heap was >= its max, so
             # neighbours at or below the frontier are true kNN members.
-            frontier = out.frontier if out.frontier is not None else float("inf")
-            items = [(d, obj) for d, obj in items if d <= frontier]
+            items = [(d, obj) for d, obj in items if d <= out.frontier]
         out.items = items
-        out.count = len(items)
-        out.stats.result_size = len(items)
-        return out
+        out.count = out.stats.result_size = len(items)
+        return out if context is not None else items
 
     def knn_into(
         self,
@@ -849,278 +860,101 @@ class SPBTree:
             raise ValueError("k must be >= 1")
         if traversal not in ("incremental", "greedy"):
             raise ValueError("traversal must be 'incremental' or 'greedy'")
-        if context is None:
-            with self._epoch_lock.read():
-                if self.raf is not None and self.object_count:
-                    heap: list = []
-                    self._knn_search(
-                        query, k, traversal, collector, heap, None, phi_q
-                    )
-            return QueryResult([])
-        with context.activate():
-            t0 = time.perf_counter()
-            heap = []
-            complete, reason = True, None
-            try:
-                with self._epoch_lock.read() as epoch:
-                    context.epoch = epoch
-                    if self.raf is not None and self.object_count:
-                        self._knn_search(
-                            query, k, traversal, collector, heap, context, phi_q
-                        )
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                complete, reason = False, exc.reason
-            frontier = None
-            if not complete:
-                frontier = heap[0][0] if heap else float("inf")
-            if context.trace is not None:
-                context.trace.finish(context, complete, reason)
-            return QueryResult(
-                [],
-                complete=complete,
-                reason=reason,
-                stats=context.stats(time.perf_counter() - t0, 0),
-                frontier=frontier,
-            )
+        heap: list[tuple[float, int, int, Any, int]] = []
+        search = functools.partial(
+            self._knn_search, query, traversal, collector, heap
+        )
+        out = self._run(context, query, phi_q, search)
+        if not out.complete:
+            out.frontier = heap[0][0] if heap else float("inf")
+        return out
 
     def _knn_search(
         self,
         query: Any,
-        k: int,
         traversal: str,
         collector: KnnCollector,
-        heap: list[tuple[float, int, int, object, int]],
-        ctx: Optional[QueryContext],
-        phi_q: Optional[tuple[float, ...]] = None,
+        heap: list[tuple[float, int, int, Any, int]],
+        ctx: QueryContext,
+        tr: Any,
+        phi_q: tuple[float, ...],
     ) -> None:
         """Best-first NNA loop, offering verified objects to ``collector``
         and leaving unexplored lower bounds in ``heap`` when a context
         checkpoint aborts the search.
 
-        Heap items are ``(mind, tiebreak, kind, payload, depth)``; the
-        depth is the B+-tree level the payload came from, so traced costs
-        land on the right per-level span.  The unique tiebreak guarantees
-        comparisons never reach payload or depth.
+        Heap items are ``(mind, tiebreak, kind, payload, depth)``: kind 0
+        is a leaf entry, kind 1 a page id.  The depth is the B+-tree level
+        the payload came from, so traced costs land on the right per-level
+        span.  The unique tiebreak guarantees comparisons never reach
+        payload or depth.
         """
-        tr = ctx.trace if ctx is not None else None
-        if phi_q is None:
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)  # |P| compdists
-            else:
-                phi_q = self.space.phi(query)
-        if ctx is not None:
-            ctx.checkpoint()
         counter = itertools.count()
-        cur_ndk = collector.bound
+        bound = collector.bound
 
         def verify(entry: LeafEntry) -> None:
             assert self.raf is not None
-            if ctx is not None:
-                ctx.checkpoint()
+            ctx.checkpoint()
             if self.raf.is_deleted(entry.ptr):
                 return
-            if tr is not None:
-                tr.bump("entries_verified")
+            tr.bump("entries_verified")
             obj = self.raf.read_object(entry.ptr)
-            d = self.distance(query, obj)
-            collector.offer(d, obj)
+            collector.offer(self.distance(query, obj), obj)
 
-        record = tr.enter(tr.level(0), ctx) if tr is not None else None
-        try:
-            root = self.btree.read_node(self.btree.root_page)
-            if tr is not None:
-                tr.bump("nodes_visited")
-            self._knn_push_node(
-                root, phi_q, heap, counter, cur_ndk, verify, traversal, 0, tr
-            )
-        except _Exhausted:
-            # Entries of the root may be lost mid-push; a zero lower bound
-            # keeps the confirmation frontier conservative.
-            heapq.heappush(heap, (0.0, next(counter), -1, None, 0))
-            raise
-        finally:
-            if record is not None:
-                tr.exit(record)
-        while heap:
-            if ctx is not None:
-                ctx.checkpoint()
-            mind, tb, kind, payload, depth = heapq.heappop(heap)
-            if mind >= cur_ndk():  # Lemma 3: early termination
-                break
-            record = tr.enter(tr.level(depth), ctx) if tr is not None else None
-            try:
-                if kind == 0:  # an object (leaf entry)
-                    verify(payload)  # type: ignore[arg-type]
-                    continue
-                node = self.btree.read_node(payload)  # type: ignore[arg-type]
-                if tr is not None:
-                    tr.bump("nodes_visited")
-                self._knn_push_node(
-                    node, phi_q, heap, counter, cur_ndk, verify, traversal,
-                    depth, tr,
-                )
-            except _Exhausted:
-                # The popped item was not fully processed: restore its lower
-                # bound so the partial-result frontier stays sound.
-                heapq.heappush(heap, (mind, tb, kind, payload, depth))
-                raise
-            finally:
-                if record is not None:
-                    tr.exit(record)
-
-    def _knn_push_node(
-        self,
-        node: Node,
-        phi_q: tuple[float, ...],
-        heap: list,
-        counter: Iterator[int],
-        cur_ndk: Callable[[], float],
-        verify: Callable[[LeafEntry], None],
-        traversal: str,
-        depth: int,
-        tr: Optional[Any] = None,
-    ) -> None:
-        if node.is_leaf:
-            if traversal == "greedy":
+        def expand(page_id: int, depth: int) -> None:
+            node = self.btree.read_node(page_id)
+            tr.bump("nodes_visited")
+            if not node.is_leaf:
+                for entry in node.entries:
+                    lo, hi = self.btree.decode_box(entry)
+                    mind = self.space.mind_to_box(phi_q, lo, hi)
+                    if mind < bound():  # Lemma 3
+                        heapq.heappush(
+                            heap, (mind, next(counter), 1, entry.child, depth + 1)
+                        )
+                    else:
+                        tr.bump("children_pruned_lemma3")
+            elif traversal == "greedy":
                 # Greedy paradigm: evaluate the whole leaf immediately.
                 for entry in node.entries:
                     verify(entry)
-                return
-            for entry in node.entries:
-                mind = self.space.mind_to_cell(phi_q, self.curve.decode(entry.key))
-                if mind < cur_ndk():  # Lemma 3
-                    heapq.heappush(heap, (mind, next(counter), 0, entry, depth))
-                elif tr is not None:
-                    tr.bump("entries_pruned_lemma3")
-            return
-        for entry in node.entries:
-            lo, hi = self.btree.decode_box(entry)
-            mind = self.space.mind_to_box(phi_q, lo, hi)
-            if mind < cur_ndk():  # Lemma 3
-                heapq.heappush(
-                    heap, (mind, next(counter), 1, entry.child, depth + 1)
-                )
-            elif tr is not None:
-                tr.bump("children_pruned_lemma3")
+            else:
+                for entry in node.entries:
+                    cell = self.curve.decode(entry.key)
+                    mind = self.space.mind_to_cell(phi_q, cell)
+                    if mind < bound():  # Lemma 3
+                        heapq.heappush(heap, (mind, next(counter), 0, entry, depth))
+                    else:
+                        tr.bump("entries_pruned_lemma3")
+
+        try:
+            ctx.checkpoint()
+            with tr.region(tr.level(0), ctx):
+                expand(self.btree.root_page, 0)
+        except _Exhausted:
+            # Entries of the root may be lost mid-push; a zero lower bound
+            # keeps the confirmation frontier conservative.
+            heapq.heappush(heap, (0.0, next(counter), 1, self.btree.root_page, 0))
+            raise
+        while heap:
+            ctx.checkpoint()
+            item = heapq.heappop(heap)
+            mind, _, kind, payload, depth = item
+            if mind >= bound():  # Lemma 3: early termination
+                break
+            try:
+                with tr.region(tr.level(depth), ctx):
+                    if kind == 0:  # an object (leaf entry)
+                        verify(payload)
+                    else:
+                        expand(payload, depth)
+            except _Exhausted:
+                # The popped item was not fully processed: restore its lower
+                # bound so the partial-result frontier stays sound.
+                heapq.heappush(heap, item)
+                raise
 
     # ----------------------------------------------------------- maintenance
-
-    def range_count(
-        self,
-        query: Any,
-        radius: float,
-        context: Optional[QueryContext] = None,
-        phi_q: Optional[tuple[float, ...]] = None,
-    ) -> "int | QueryResult":
-        """|RQ(q, O, r)| without fetching the objects.
-
-        Uses Lemma 2 the other way round: entries whose grid cell proves
-        d(q, o) ≤ r are *counted* without touching the RAF at all, so a
-        pure counting workload (selectivity estimation, faceting) costs a
-        fraction of the page accesses of :meth:`range_query`.
-
-        With a :class:`QueryContext` the answer is a :class:`QueryResult`
-        whose ``count`` holds the tally (a lower bound of the true count
-        when ``complete=False``).
-        """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        if context is None:
-            with self._epoch_lock.read():
-                if self.raf is None or self.object_count == 0:
-                    return 0
-                tally = [0]
-                self._count_search(query, radius, tally, None, phi_q)
-            return tally[0]
-        with context.activate():
-            t0 = time.perf_counter()
-            tally = [0]
-            complete, reason = True, None
-            try:
-                with self._epoch_lock.read() as epoch:
-                    context.epoch = epoch
-                    if self.raf is not None and self.object_count:
-                        self._count_search(query, radius, tally, context, phi_q)
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                complete, reason = False, exc.reason
-            if context.trace is not None:
-                context.trace.finish(context, complete, reason)
-            return QueryResult(
-                [],
-                complete=complete,
-                reason=reason,
-                count=tally[0],
-                stats=context.stats(time.perf_counter() - t0, tally[0]),
-            )
-
-    def _count_search(
-        self,
-        query: Any,
-        radius: float,
-        tally: list[int],
-        ctx: Optional[QueryContext],
-        phi_q: Optional[tuple[float, ...]] = None,
-    ) -> None:
-        assert self.raf is not None
-        tr = ctx.trace if ctx is not None else None
-        if phi_q is None:
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)  # |P| compdists
-            else:
-                phi_q = self.space.phi(query)
-        if ctx is not None:
-            ctx.checkpoint()
-        rr_lo, rr_hi = self.space.range_region(phi_q, radius)
-        stack = [(self.btree.root_page, 0)]
-        while stack:
-            if ctx is not None:
-                ctx.checkpoint()
-            page_id, depth = stack.pop()
-            record = tr.enter(tr.level(depth), ctx) if tr is not None else None
-            try:
-                node = self.btree.read_node(page_id)
-                if tr is not None:
-                    tr.bump("nodes_visited")
-                if not node.is_leaf:
-                    for entry in node.entries:
-                        child_box = self.btree.decode_box(entry)
-                        if boxes_intersect(rr_lo, rr_hi, *child_box):  # Lemma 1
-                            stack.append((entry.child, depth + 1))
-                        elif tr is not None:
-                            tr.bump("children_pruned_lemma1")
-                    continue
-                for entry in node.entries:
-                    if ctx is not None:
-                        ctx.checkpoint()
-                    cell = self.curve.decode(entry.key)
-                    if not point_in_box(cell, rr_lo, rr_hi):  # Lemma 1
-                        if tr is not None:
-                            tr.bump("entries_pruned_lemma1")
-                        continue
-                    if self.raf.is_deleted(entry.ptr):
-                        continue
-                    if self.use_lemma2 and any(
-                        self.space.upper_bound_to_pivot(c) <= radius - dq
-                        for c, dq in zip(cell, phi_q)
-                    ):
-                        if tr is not None:
-                            tr.bump("lemma2_accepts")
-                        tally[0] += 1  # Lemma 2: within r, no I/O at all
-                        continue
-                    if tr is not None:
-                        tr.bump("entries_verified")
-                    obj = self.raf.read_object(entry.ptr)
-                    if self.distance(query, obj) <= radius:
-                        tally[0] += 1
-            finally:
-                if record is not None:
-                    tr.exit(record)
 
     def rebuild(self) -> "SPBTree":
         """Compact the index: rebuild from the live objects.

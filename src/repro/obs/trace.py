@@ -26,9 +26,9 @@ exactly one span region, the span tree *reconciles*: the per-span
 operator trust a trace: the breakdown is the total, not a sample of it.
 
 Tracing is strictly opt-in.  A query without a trace attached (the
-default, and all paper experiments) pays a single ``is None`` check per
-node; span regions take counter snapshots only, never touching the
-counters themselves, so a traced query's PA/compdist tallies equal an
+default, and all paper experiments) runs against :data:`NULL_TRACE`, whose
+hooks do nothing; span regions take counter snapshots only, never touching
+the counters themselves, so a traced query's PA/compdist tallies equal an
 untraced run's.
 """
 
@@ -251,6 +251,38 @@ class QueryTrace:
                         pass
                 trace._spans[child.name] = child
         return trace
+
+
+class NullTrace:
+    """The trace of an untraced query: every hook is a no-op, so the
+    traversal calls them unconditionally instead of testing for None."""
+
+    __slots__ = ()
+
+    def span(self, name: str) -> None:
+        return None
+
+    def level(self, depth: int) -> None:
+        return None
+
+    def region(self, span: Any, ctx: Any) -> "NullTrace":
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc: Any) -> None:
+        return None
+
+    def bump(self, key: str, amount: int = 1) -> None:
+        pass
+
+    def finish(self, ctx: Any, complete: bool = True, reason: Any = None) -> None:
+        pass
+
+
+#: The shared no-op trace (``ctx.trace or NULL_TRACE``).
+NULL_TRACE = NullTrace()
 
 
 def attributed_totals_from_dict(trace_data: dict) -> tuple[int, int]:

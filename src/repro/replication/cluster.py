@@ -294,16 +294,14 @@ class ReplicatedIndex(ShardedIndex):
 
     # ----------------------------------------------------------------- reads
 
-    def _read_tree(
-        self, shard: Shard, ctx: Optional[QueryContext] = None
-    ) -> SPBTree:
+    def _read_tree(self, shard: Shard, ctx: QueryContext) -> SPBTree:
         rset = self._sets.get(shard.shard_id)
         if rset is None:
             return shard.tree
         rid = self._selector.choose(
             shard.shard_id, rset.member_ids(), rset.healthy, rset.lag
         )
-        if ctx is not None and ctx.trace is not None:
+        if ctx.trace is not None:
             # Replica identity on the sub-read's trace: which member served
             # this read and how far behind the primary it was at choice
             # time.  The scatter folds these root counts into the parent's
@@ -332,14 +330,7 @@ class ReplicatedIndex(ShardedIndex):
         engine: Optional[Any] = None,
         strategy: str = "best-first",
     ) -> "list[tuple[float, Any]] | ClusterResult":
-        out = super().knn_query(
-            query,
-            k,
-            traversal=traversal,
-            context=context,
-            engine=engine,
-            strategy=strategy,
-        )
+        out = super().knn_query(query, k, traversal, context, engine, strategy)
         return self._mark_degraded(out, context)
 
     def range_count(

@@ -255,8 +255,8 @@ class QueryContext:
     #: The EpochLock snapshot the query ran under (set by the tree).
     epoch: Optional[int] = None
     #: Optional per-query span tree (:class:`repro.obs.QueryTrace`); the
-    #: traversal fills it in when attached.  ``None`` — the default — costs
-    #: the hot path one identity check per node.
+    #: traversal fills it in when attached.  ``None`` — the default — runs
+    #: the traversal against the no-op :data:`repro.obs.trace.NULL_TRACE`.
     trace: Optional[Any] = None
     #: Request/trace identifier minted at the edge (client, server, or
     #: CLI) and inherited by every per-shard sub-context, so the slow log,
@@ -367,6 +367,17 @@ class QueryContext:
             elapsed_seconds=elapsed,
             result_size=result_size,
         )
+
+
+class _Unlimited(QueryContext):
+    """The private context of a query called without one.
+
+    It carries no deadline, budget or cancel token, so no checkpoint can
+    trip: the per-entry check returns at once.
+    """
+
+    def checkpoint(self) -> None:
+        return None
 
 
 class KnnCollector:

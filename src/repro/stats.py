@@ -81,6 +81,19 @@ def record_compdist() -> None:
         stack[-1].compdists += 1
 
 
+def credit_stat_shard(shard: object) -> None:
+    """Fold a finished shard's totals into the current thread's shard.
+
+    A query that accounted on a private shard calls this after popping it,
+    so an enclosing shard ends up credited exactly as if the private one
+    had never been pushed.  No-op when no shard is active.
+    """
+    stack = getattr(_local, "shards", None)
+    if stack:
+        stack[-1].compdists += shard.compdists  # type: ignore[attr-defined]
+        stack[-1].page_accesses += shard.page_accesses  # type: ignore[attr-defined]
+
+
 @dataclass
 class PageAccessCounter:
     """Counts logical page reads and writes.

@@ -69,6 +69,7 @@ class _ShardState:
         "cooldown_until",
         "promoting",
         "suppressed_logged",
+        "blocked_logged",
         "promotions",
     )
 
@@ -79,6 +80,8 @@ class _ShardState:
         self.cooldown_until = float("-inf")
         self.promoting = False
         self.suppressed_logged = False
+        #: ``promotion-blocked`` is journalled once per outage episode.
+        self.blocked_logged = False
         self.promotions = 0
 
 
@@ -175,6 +178,7 @@ class Supervisor:
                         st.suspected_at = None
                         st.fast_track = False
                         st.suppressed_logged = False
+                        st.blocked_logged = False
                         self.journal.record(
                             "primary-recovered",
                             shard=sid,
@@ -230,12 +234,14 @@ class Supervisor:
         try:
             info = self.index.failover(sid)
         except ReplicationError as exc:
-            self.journal.record(
-                "promotion-blocked",
-                shard=sid,
-                detail=str(exc),
-                request_id=rid,
-            )
+            if not st.blocked_logged:
+                st.blocked_logged = True
+                self.journal.record(
+                    "promotion-blocked",
+                    shard=sid,
+                    detail=str(exc),
+                    request_id=rid,
+                )
             return
         finally:
             st.promoting = False
@@ -244,6 +250,7 @@ class Supervisor:
         st.suspected_at = None
         st.fast_track = False
         st.suppressed_logged = False
+        st.blocked_logged = False
         st.cooldown_until = now + self.cooldown
         st.promotions += 1
         self.promotions += 1

@@ -180,10 +180,13 @@ class TestDegradationHonesty:
                 time.sleep(0.001)
                 return super().__call__(a, b)
 
-        tree = SPBTree.build(small_words, SlowEdit(), seed=7)
+        # Build and take the true answer on the plain metric; only the
+        # served queries go through the stalling one.
+        tree = SPBTree.build(small_words, EditDistance(), seed=7)
+        true_d = [d for d, _ in tree.knn_query(small_words[3], 10)]
+        tree.distance.metric = SlowEdit()
         engine = QueryEngine(tree, workers=2).start()
         handle = serve_in_thread(engine, "127.0.0.1", 0)
-        true_d = [d for d, _ in tree.knn_query(small_words[3], 10)]
         plan = FaultPlan(delay_rate=0.2, delay_s=0.02)
         saw_partial = False
         try:

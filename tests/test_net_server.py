@@ -121,12 +121,15 @@ class TestEndToEnd:
 
 class TestDeadlinePropagation:
     def test_degraded_answer_arrives_before_client_gives_up(self, small_words):
-        tree = SPBTree.build(small_words, _SlowMetric(0.002), seed=7)
+        # Build and take the true answer on the plain metric; only the
+        # served queries go through the stalling one.
+        tree = SPBTree.build(small_words, EditDistance(), seed=7)
+        true_d = [d for d, _ in tree.knn_query(small_words[3], 10)]
+        tree.distance.metric = _SlowMetric(0.002)
         engine = QueryEngine(tree, workers=2).start()
         handle = serve_in_thread(engine, "127.0.0.1", 0)
         try:
             deadline_ms = 60.0
-            true_d = [d for d, _ in tree.knn_query(small_words[3], 10)]
             with NetClient("127.0.0.1", handle.port) as client:
                 t0 = time.monotonic()
                 result = client.knn_query(

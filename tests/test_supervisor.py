@@ -255,6 +255,39 @@ class TestStateMachine:
             sup.close()
             idx.close()
 
+    def test_promotion_blocked_is_journalled_once_per_episode(
+        self, tmp_path, small_words, edit
+    ):
+        clock = FakeClock()
+        _, idx = make_cluster(tmp_path, small_words, edit, clock, replicas=1)
+        sup = Supervisor(idx, scrub_interval=None)
+        rset = idx._sets[0]
+
+        def blocked() -> int:
+            return sum(
+                1 for e in sup.events(200)
+                if e["event"] == "promotion-blocked" and e["shard"] == 0
+            )
+
+        try:
+            for episode in (1, 2):
+                for rid in rset.member_ids():
+                    idx.monitor.mark_down(0, rid)  # nobody left to promote
+                for _ in range(6):  # the first tick suspects, then 5 past grace
+                    beat_all(idx)  # shard 1 stays healthy; shard 0 is held down
+                    sup.tick()
+                    clock.now += 3.0
+                assert sup.shard_state(0) == "suspected"
+                assert blocked() == episode
+                for rid in rset.member_ids():
+                    idx.monitor.mark_up(0, rid)
+                beat_all(idx)
+                sup.tick()
+                assert sup.shard_state(0) == "healthy"
+        finally:
+            sup.close()
+            idx.close()
+
 
 class TestZombieRejoin:
     def test_ex_primary_rejoins_with_byte_identical_wal(
